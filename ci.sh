@@ -9,6 +9,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace -q"
+# Every crate's unit tests and the crates/server/tests integration
+# suites (transport, WAL, recovery, replication). The default test
+# profile reuses the previous stage's build.
+cargo test --workspace -q
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -103,6 +109,29 @@ grep -q '"reader_blocked": 0' "$INTERF_JSON" || {
   echo "a snapshot reader hit the blocked safety valve during interference" >&2
   rm -f "$INTERF_JSON"; exit 1; }
 rm -f "$INTERF_JSON"
+
+echo "==> BENCH_service.json block merge (two modes into one file)"
+# Each service_load mode owns one top-level block of the output file and
+# must leave every other block in place: run two modes into one file and
+# require both blocks, each stamped with its own meta.
+MERGE_JSON="$(mktemp /tmp/merge_smoke.XXXXXX.json)"
+SNB_SERVICE_OUT="$MERGE_JSON" \
+  cargo run -q --release -p snb-bench --bin service_load -- 0.001 \
+  --clients 1 --duration 500ms > /dev/null
+SNB_SERVICE_OUT="$MERGE_JSON" \
+  cargo run -q --release -p snb-bench --bin service_load -- 0.001 \
+  --interference --clients 1 --duration 500ms > /dev/null
+for key in load interference; do
+  grep -q "^  \"$key\": {" "$MERGE_JSON" || {
+    echo "BENCH_service.json lost the '$key' block when another mode wrote" >&2
+    rm -f "$MERGE_JSON"; exit 1; }
+done
+metas="$(grep -o '"meta": {"git_commit":' "$MERGE_JSON" | wc -l)"
+if [ "$metas" -ne 2 ]; then
+  echo "BENCH_service.json blocks carry $metas meta stamps, want 2" >&2
+  rm -f "$MERGE_JSON"; exit 1
+fi
+rm -f "$MERGE_JSON"
 
 echo "==> snb-server smoke (overload shed, deadline miss, graceful shutdown)"
 # Ephemeral port, one worker, an undersized queue: the overload burst

@@ -33,180 +33,11 @@
 //! `Child::kill`, so the process dies exactly at the armed point with
 //! no destructors run.
 
-use std::io::BufRead;
-use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
-
-use snb_datagen::dictionaries::StaticWorld;
-use snb_datagen::stream::UpdateEvent;
-use snb_datagen::GeneratorConfig;
-use snb_engine::QueryContext;
 use snb_params::ParamGen;
-use snb_server::proto::{self, Request};
-use snb_server::{ErrorKind, Response, ServiceParams, WriteBatch, WriteOps};
-use snb_store::DeleteOp;
+use snb_server::{ErrorKind, ServiceParams};
 
+use crate::harness::{self, call, submit, Node, Unacked};
 use crate::Args;
-
-/// How long a client waits for an ack before declaring the server
-/// stalled at a fault point and SIGKILLing it. The injected stalls
-/// sleep for 600 s, so this cleanly separates "stalled" from "slow".
-const ACK_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Sequenced batches carved from a real update stream: chunks of
-/// inserts in stream order, with a like-delete batch interleaved after
-/// any chunk that produced likes (both write families hit the WAL).
-pub fn carve_stream(stream: &[snb_datagen::stream::TimedEvent], chunks: usize) -> Vec<WriteOps> {
-    let mut out = Vec::new();
-    let mut likes = Vec::new();
-    for chunk in stream.chunks(20).take(chunks) {
-        for ev in chunk {
-            if let UpdateEvent::AddLikePost(l) = &ev.event {
-                likes.push(DeleteOp::Like(l.person.0, l.message.0));
-            }
-        }
-        out.push(WriteOps::Updates(chunk.to_vec()));
-        if !likes.is_empty() {
-            out.push(WriteOps::Deletes(std::mem::take(&mut likes)));
-        }
-    }
-    out
-}
-
-/// [`carve_stream`] over a freshly generated stream for `config`.
-pub fn carve_batches(config: &GeneratorConfig, chunks: usize) -> Vec<WriteOps> {
-    let (_, stream) = snb_store::bulk_store_and_stream(config);
-    carve_stream(&stream, chunks)
-}
-
-/// Parsed `recovered seq=...` startup line.
-#[derive(Clone, Copy, Debug, Default)]
-struct Recovery {
-    seq: u64,
-    snapshot_entries: u64,
-    wal_entries: u64,
-    truncated_bytes: u64,
-    image_seq: u64,
-    tail_replayed: u64,
-}
-
-struct ChaosServer {
-    child: Child,
-    addr: String,
-    recovery: Recovery,
-}
-
-impl ChaosServer {
-    fn spawn(
-        args: &Args,
-        bin: &str,
-        wal_dir: &std::path::Path,
-        faults: Option<&str>,
-        image: bool,
-    ) -> Self {
-        let mut cmd = Command::new(bin);
-        cmd.arg(&args.scale)
-            .arg(args.config.seed.to_string())
-            .args(["--port", "0", "--workers", "2", "--snapshot-every", "5", "--partitions", "2"])
-            .arg("--wal-dir")
-            .arg(wal_dir)
-            .env_remove("SNB_FAULTS")
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        if image {
-            cmd.arg("--image");
-        }
-        if let Some(spec) = faults {
-            cmd.env("SNB_FAULTS", spec).env("SNB_FAULT_SEED", "42");
-        }
-        let mut child = cmd.spawn().unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut recovery = Recovery::default();
-        let mut addr = None;
-        for line in std::io::BufReader::new(stdout).lines() {
-            let line = line.expect("server stdout");
-            if let Some(rest) = line.strip_prefix("recovered ") {
-                for field in rest.split_whitespace() {
-                    let (key, value) = field.split_once('=').unwrap_or((field, "0"));
-                    let value: u64 = value.parse().unwrap_or(0);
-                    match key {
-                        "seq" => recovery.seq = value,
-                        "snapshot_entries" => recovery.snapshot_entries = value,
-                        "wal_entries" => recovery.wal_entries = value,
-                        "truncated_bytes" => recovery.truncated_bytes = value,
-                        "image_seq" => recovery.image_seq = value,
-                        "tail_replayed" => recovery.tail_replayed = value,
-                        _ => {}
-                    }
-                }
-            } else if let Some(a) = line.strip_prefix("listening on ") {
-                addr = Some(a.trim().to_string());
-                break;
-            }
-        }
-        let addr = addr.expect("server exited before printing its address");
-        ChaosServer { child, addr, recovery }
-    }
-
-    fn connect(&self) -> TcpStream {
-        for _ in 0..100 {
-            if let Ok(s) = TcpStream::connect(&self.addr) {
-                let _ = s.set_nodelay(true);
-                let _ = s.set_read_timeout(Some(ACK_TIMEOUT));
-                return s;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        panic!("could not connect to {}", self.addr);
-    }
-
-    /// SIGKILL — no drain, no destructors; the crash we are testing.
-    fn sigkill(mut self) {
-        self.child.kill().expect("SIGKILL server");
-        self.child.wait().expect("reap server");
-    }
-
-    /// Graceful stop (SIGTERM, drain, exit 0) for the final teardown.
-    #[cfg(unix)]
-    fn terminate(mut self) {
-        extern "C" {
-            fn kill(pid: i32, sig: i32) -> i32;
-        }
-        unsafe {
-            kill(self.child.id() as i32, 15);
-        }
-        let _ = self.child.wait();
-    }
-
-    #[cfg(not(unix))]
-    fn terminate(self) {
-        self.sigkill();
-    }
-}
-
-fn call(stream: &mut TcpStream, id: u64, params: ServiceParams) -> Result<Response, String> {
-    let req = Request { id, deadline_us: 0, min_seq: 0, params };
-    proto::write_frame(stream, &proto::encode_request(&req)).map_err(|e| format!("write: {e}"))?;
-    let payload = proto::read_frame(stream).map_err(|e| format!("read: {e}"))?;
-    proto::decode_response(&payload).map_err(|e| format!("decode: {}", e.detail))
-}
-
-/// Submits batch `seq`; `Ok((flavor, rows))` where flavor is `"ok"`
-/// or `"deduped"` (rows must be 0 for the latter), `Err` when the ack
-/// never arrived (stall → timeout) or came back as a typed error.
-fn submit(stream: &mut TcpStream, seq: u64, ops: &WriteOps) -> Result<(&'static str, u64), String> {
-    let params = ServiceParams::Write(WriteBatch { seq, ops: ops.clone() });
-    let resp = call(stream, seq, params)?;
-    match resp.body {
-        // The ack contract: `rows` is the number of operations applied
-        // by *this* call — zero exactly when the batch was already
-        // applied and the server merely re-acknowledged it.
-        Ok(ok) if ok.rows == 0 => Ok(("deduped", 0)),
-        Ok(ok) => Ok(("ok", ok.rows)),
-        Err(e) => Err(format!("{}: {}", e.kind.name(), e.detail)),
-    }
-}
 
 struct PhaseOutcome {
     name: &'static str,
@@ -217,20 +48,12 @@ struct PhaseOutcome {
 }
 
 pub fn run(args: &Args) {
-    let bin = args.server_bin.clone().unwrap_or_else(|| {
-        let exe = std::env::current_exe().expect("current_exe");
-        exe.parent().expect("target dir").join("snb-server").display().to_string()
-    });
-    assert!(
-        std::path::Path::new(&bin).exists(),
-        "snb-server binary not found at {bin} (build it or pass --server-bin)"
-    );
     let wal_dir = std::env::temp_dir().join(format!("snb_chaos_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
 
     eprintln!("# chaos: carving write batches (scale {}, seed {})", args.scale, args.config.seed);
     let (base_store, stream) = snb_store::bulk_store_and_stream(&args.config);
-    let batches = carve_stream(&stream, 12);
+    let batches = harness::carve_stream(&stream, 12);
     // A read binding for probing the degraded server; generated against
     // the bulk image (only the error kind matters, not the result).
     let probe = ParamGen::new(&base_store, args.config.seed)
@@ -252,13 +75,8 @@ pub fn run(args: &Args) {
     // ---- Phase 1: torn append. The 3rd WAL append writes 8 bytes and
     // stalls; seqs 1-2 are acked, seq 3 is neither durable nor applied.
     eprintln!("# chaos phase 1: SIGKILL at wal.append.short_write (seq 3)");
-    let server = ChaosServer::spawn(
-        args,
-        &bin,
-        &wal_dir,
-        Some("wal.append.short_write=short:8,stall:600000@h3"),
-        false,
-    );
+    let server =
+        spawn(args, &wal_dir, Some("wal.append.short_write=short:8,stall:600000@h3"), false);
     assert_eq!(server.recovery.seq, 0, "fresh directory recovers to the bulk image");
     let mut conn = server.connect();
     for seq in 1..=2u64 {
@@ -273,13 +91,7 @@ pub fn run(args: &Args) {
     // ---- Phase 2: restart, verify truncation, resubmit seq 3 (first
     // apply), then die after a durable append of seq 4 (pre-apply).
     eprintln!("# chaos phase 2: recover; SIGKILL at wal.append.post_append (seq 4)");
-    let server = ChaosServer::spawn(
-        args,
-        &bin,
-        &wal_dir,
-        Some("wal.append.post_append=stall:600000@h2"),
-        false,
-    );
+    let server = spawn(args, &wal_dir, Some("wal.append.post_append=stall:600000@h2"), false);
     // (effects in one clause are comma-separated; `@h2` because the
     // resubmitted seq 3 consumes this fresh process's first append.)
     assert_eq!(server.recovery.seq, 2, "torn seq 3 must not be replayed");
@@ -303,8 +115,7 @@ pub fn run(args: &Args) {
     // WAL; its resubmission dedupes. Then seq 5 panics mid-apply: the
     // server answers store_poisoned (typed, no hang) and refuses reads.
     eprintln!("# chaos phase 3: recover; SIGKILL after writer.apply.panic (seq 5)");
-    let server =
-        ChaosServer::spawn(args, &bin, &wal_dir, Some("writer.apply.panic=panic@h1"), false);
+    let server = spawn(args, &wal_dir, Some("writer.apply.panic=panic@h1"), false);
     assert_eq!(server.recovery.seq, 4, "durable seq 4 must be replayed, not lost");
     assert_eq!(server.recovery.truncated_bytes, 0, "seq 4's append was clean");
     let mut conn = server.connect();
@@ -319,15 +130,14 @@ pub fn run(args: &Args) {
         truncated_bytes: server.recovery.truncated_bytes,
         resubmit_flavor: flavor,
     });
-    let poisoned = submit(&mut conn, 5, seq_ops(5));
-    match &poisoned {
-        Err(detail) if detail.starts_with("store_poisoned") => {}
+    match submit(&mut conn, 5, seq_ops(5)) {
+        Err(Unacked::Refused(ErrorKind::StorePoisoned, _)) => {}
         other => panic!("seq 5 must be refused store_poisoned, got {other:?}"),
     }
     // The degraded store refuses reads too — with a typed error, not a
     // hang or a poisoned-lock panic cascade.
     let read =
-        call(&mut conn, 9_999, ServiceParams::Bi(probe.clone())).expect("probe read answers");
+        call(&mut conn, 9_999, 0, 0, ServiceParams::Bi(probe.clone())).expect("probe read answers");
     match read.body {
         Err(e) if e.kind == ErrorKind::StorePoisoned => {}
         other => panic!("degraded server must refuse reads store_poisoned, got {other:?}"),
@@ -340,7 +150,7 @@ pub fn run(args: &Args) {
     // normally — each compaction point (every 5 appends) now also
     // writes a store image, so by the kill an image anchors the WAL.
     eprintln!("# chaos phase 4: recover; drain under --image; SIGKILL");
-    let server = ChaosServer::spawn(args, &bin, &wal_dir, None, true);
+    let server = spawn(args, &wal_dir, None, true);
     assert_eq!(server.recovery.seq, 5, "seq 5 was durable before the panic: replayed");
     assert_eq!(server.recovery.image_seq, 0, "no image exists yet: full-history replay");
     let mut conn = server.connect();
@@ -371,8 +181,7 @@ pub fn run(args: &Args) {
     // then leaves a directory whose newest durable state lives only in
     // the WAL tail past the old image.
     eprintln!("# chaos phase 5: recover from image; SIGKILL after image.write.torn");
-    let server =
-        ChaosServer::spawn(args, &bin, &wal_dir, Some("image.write.torn=short:120@p1"), true);
+    let server = spawn(args, &wal_dir, Some("image.write.torn=short:120@p1"), true);
     assert!(server.recovery.image_seq > 0, "recovery must anchor on the store image");
     assert_eq!(server.recovery.seq, image_drain, "every acked batch survives the kill");
     assert_eq!(
@@ -401,7 +210,7 @@ pub fn run(args: &Args) {
     // which now includes the post-image batches. The last batch was
     // durable before the kill, so its resubmission dedupes.
     eprintln!("# chaos phase 6: recover; verify fallback to previous image + WAL tail");
-    let server = ChaosServer::spawn(args, &bin, &wal_dir, None, true);
+    let server = spawn(args, &wal_dir, None, true);
     assert_eq!(server.recovery.image_seq, anchor, "fallback to the intact previous image");
     assert_eq!(server.recovery.seq, total, "WAL tail past the image replays in full");
     assert_eq!(server.recovery.tail_replayed, total - anchor, "tail = everything past the image");
@@ -422,51 +231,14 @@ pub fn run(args: &Args) {
     // ---- Oracle: a quiesced in-process store that applied exactly the
     // acknowledged batches once each, compared over all 25 BI queries.
     eprintln!("# chaos: building acked-batches oracle and verifying 25 BI queries");
-    let mut oracle = base_store;
-    let world = StaticWorld::build(args.config.seed);
-    for ops in &batches {
-        match ops {
-            WriteOps::Updates(events) => {
-                for ev in events {
-                    oracle.apply_event(ev, &world).expect("oracle apply");
-                }
-            }
-            WriteOps::Deletes(dels) => {
-                oracle.apply_deletes(dels).expect("oracle delete");
-            }
-        }
-    }
-    if !oracle.date_index_fresh() {
-        oracle.rebuild_date_index();
-    }
-    oracle.validate_invariants().expect("oracle invariants");
-
-    let gen = ParamGen::new(&oracle, args.config.seed);
-    let ctx = QueryContext::single_threaded();
-    let mut verified = 0u64;
-    let mut mismatches = 0u64;
-    for q in 1..=25u8 {
-        for params in gen.bi_params(q, 2) {
-            let want = snb_bi::run_with(&oracle, &ctx, &params);
-            let resp =
-                call(&mut conn, 10_000 + verified, ServiceParams::Bi(params)).expect("verify read");
-            verified += 1;
-            match resp.body {
-                Ok(ok) if ok.rows == want.rows as u64 && ok.fingerprint == want.fingerprint => {}
-                Ok(ok) => {
-                    mismatches += 1;
-                    eprintln!(
-                        "CHAOS VERIFY FAILURE: BI {q}: rows {} fp {:#x}, oracle rows {} fp {:#x}",
-                        ok.rows, ok.fingerprint, want.rows, want.fingerprint
-                    );
-                }
-                Err(e) => {
-                    mismatches += 1;
-                    eprintln!("CHAOS VERIFY FAILURE: BI {q}: {}: {}", e.kind.name(), e.detail);
-                }
-            }
-        }
-    }
+    let (verified, mismatches) = harness::verify_every_batch(
+        base_store,
+        &batches,
+        args.config.seed,
+        &mut [("server", &mut conn)],
+        0,
+        "CHAOS",
+    );
     server.terminate();
     let _ = std::fs::remove_dir_all(&wal_dir);
     assert_eq!(mismatches, 0, "recovered store diverges from the acked-batches oracle");
@@ -484,8 +256,7 @@ pub fn run(args: &Args) {
         ]],
     );
     let mut out = String::from("{\n");
-    out.push_str(&format!("  \"meta\": {},\n", snb_bench::meta_json(&args.config)));
-    out.push_str("  \"chaos\": {\n");
+    out.push_str(&format!("    \"meta\": {},\n", snb_bench::meta_json(&args.config)));
     out.push_str(&format!("    \"batches\": {total},\n    \"phases\": [\n"));
     for (i, p) in phases.iter().enumerate() {
         out.push_str(&format!(
@@ -506,12 +277,17 @@ pub fn run(args: &Args) {
     ));
     out.push_str(&format!(
         "    \"dedupes\": {dedupes}, \"lost_acks\": {lost_acks}, \
-         \"queries_verified\": {verified}, \"mismatches\": {mismatches}\n"
+         \"queries_verified\": {verified}, \"mismatches\": {mismatches}\n  }}"
     ));
-    out.push_str("  }\n}\n");
-    std::fs::write(&args.out, out).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
-    println!("wrote {}", args.out);
+    harness::write_block(&args.out, "chaos", &out);
     eprintln!(
         "# chaos: PASS ({total} batches, 4 faults, 5 kills, {dedupes} dedupes, {verified} queries)"
     );
+}
+
+/// The chaos node: `snb-server` over `wal_dir`, `faults` armed, store
+/// images written at compaction points when `image` is set.
+fn spawn(args: &Args, wal_dir: &std::path::Path, faults: Option<&str>, image: bool) -> Node {
+    let extra: &[&str] = if image { &["--image"] } else { &[] };
+    Node::spawn(args, "server", wal_dir, extra, faults)
 }

@@ -28,7 +28,8 @@ use snb_params::ParamGen;
 use snb_server::{Server, ServiceParams};
 use snb_store::DeleteOp;
 
-use crate::{percentile, Args, BindingPicker, ClientStats};
+use crate::harness::{self, percentile};
+use crate::{Args, BindingPicker, ClientStats};
 
 /// Update events per published version during the write window.
 const WRITE_BATCH: usize = 48;
@@ -234,10 +235,10 @@ pub fn run(args: &Args) {
     );
 
     let mut out = String::from("{\n");
-    out.push_str(&format!("  \"meta\": {},\n", snb_bench::meta_json(&args.config)));
+    out.push_str(&format!("    \"meta\": {},\n", snb_bench::meta_json(&args.config)));
     out.push_str(&format!(
-        "  \"config\": {{\"clients\": {}, \"duration_us\": {}, \"mode\": \"interference\", \
-         \"deadline_us\": {}, \"transport\": \"inproc\", \"workers\": {}, \
+        "    \"config\": {{\"clients\": {}, \"duration_us\": {}, \"deadline_us\": {}, \
+         \"transport\": \"inproc\", \"workers\": {}, \
          \"queue_capacity\": {}, \"partitions\": {}, \"bindings\": {}}},\n",
         args.clients,
         args.duration.as_micros(),
@@ -248,11 +249,11 @@ pub fn run(args: &Args) {
         pool.len(),
     ));
     out.push_str(&format!(
-        "  \"interference\": {{\n    \"baseline\": {},\n    \"with_writes\": {},\n    \
+        "    \"baseline\": {},\n    \"with_writes\": {},\n    \
          \"read_p99_ratio\": {:.4},\n    \"writes\": {{\"updates_applied\": {}, \
          \"deletes_applied\": {}, \"versions_published\": {}}},\n    \
          \"snapshots\": {{\"store_version\": {}, \"versions_published\": {}, \
-         \"peak_live_snapshots\": {}, \"reader_retries\": {}, \"reader_blocked\": {}}}\n  }}\n",
+         \"peak_live_snapshots\": {}, \"reader_retries\": {}, \"reader_blocked\": {}}}\n  }}",
         latency_json(&baseline),
         latency_json(&with_writes),
         ratio,
@@ -265,9 +266,7 @@ pub fn run(args: &Args) {
         report.reader_retries,
         report.reader_blocked,
     ));
-    out.push_str("}\n");
-    std::fs::write(&args.out, out).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
-    println!("wrote {}", args.out);
+    harness::write_block(&args.out, "interference", &out);
 
     let failures = baseline.protocol_errors
         + baseline.verify_failures

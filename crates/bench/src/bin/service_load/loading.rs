@@ -160,8 +160,8 @@ fn recovery_point(args: &Args, batches: &[WriteOps], history: usize, image: bool
     let server = Server::start_durable(store, args.server.clone(), durability);
     let client = server.client();
     for (i, ops) in batches.iter().take(history).enumerate() {
-        let resp =
-            client.call(ServiceParams::Write(WriteBatch { seq: i as u64 + 1, ops: ops.clone() }), 0);
+        let resp = client
+            .call(ServiceParams::Write(WriteBatch { seq: i as u64 + 1, ops: ops.clone() }), 0);
         assert!(resp.body.is_ok(), "loading: batch {} refused: {:?}", i + 1, resp.body.err());
     }
     server.shutdown();
@@ -304,10 +304,8 @@ pub fn run(args: &Args) {
     drop(bulk_stream);
 
     // ---- Phase 4: recovery vs history length, image on and off.
-    let batches: Vec<WriteOps> = stream
-        .chunks(EVENTS_PER_BATCH)
-        .map(|chunk| WriteOps::Updates(chunk.to_vec()))
-        .collect();
+    let batches: Vec<WriteOps> =
+        stream.chunks(EVENTS_PER_BATCH).map(|chunk| WriteOps::Updates(chunk.to_vec())).collect();
     let mut histories: Vec<usize> =
         [4usize, 8, 12].into_iter().map(|h| h.min(batches.len())).collect();
     histories.dedup();
@@ -334,7 +332,7 @@ pub fn run(args: &Args) {
             store.rebuild_date_index();
         }
         let s = store.stats();
-        (s.nodes as u64, s.edges as u64)
+        (s.nodes, s.edges)
     };
     for p in points.iter().filter(|p| p.history == longest) {
         assert_eq!(
@@ -385,8 +383,7 @@ pub fn run(args: &Args) {
     );
 
     let mut out = String::from("{\n");
-    out.push_str(&format!("  \"meta\": {},\n", snb_bench::meta_json(config)));
-    out.push_str("  \"loading\": {\n");
+    out.push_str(&format!("    \"meta\": {},\n", snb_bench::meta_json(config)));
     out.push_str(&format!("    \"persons\": {},\n", person_tally.json(persons_us)));
     out.push_str(&format!("    \"knows\": {},\n", knows_tally.json(knows_us)));
     out.push_str(&format!("    \"forums\": {},\n", forums.json(activity_us)));
@@ -429,9 +426,8 @@ pub fn run(args: &Args) {
         "    \"oracle\": {{\"verified_history\": {longest}, \"nodes\": {}, \"edges\": {}}}\n",
         oracle_stats.0, oracle_stats.1
     ));
-    out.push_str("  }\n}\n");
-    std::fs::write(&args.out, out).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
-    println!("wrote {}", args.out);
+    out.push_str("  }");
+    crate::harness::write_block(&args.out, "loading", &out);
     eprintln!(
         "# loading: PASS ({person_ratio:.2}x person-string packing, {} recovery points, \
          oracle verified)",

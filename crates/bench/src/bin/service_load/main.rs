@@ -102,7 +102,10 @@ use snb_server::{
 };
 use snb_store::DeleteOp;
 
+use harness::percentile;
+
 mod chaos;
+mod harness;
 mod interference;
 mod loading;
 mod replication;
@@ -324,18 +327,7 @@ impl Transport {
     ) -> Result<Response, String> {
         match self {
             Transport::InProc(c) => Ok(c.call(params, deadline_us)),
-            Transport::Tcp(stream) => {
-                let req = Request { id, deadline_us, min_seq: 0, params };
-                proto::write_frame(stream, &proto::encode_request(&req))
-                    .map_err(|e| format!("write: {e}"))?;
-                let payload = proto::read_frame(stream).map_err(|e| format!("read: {e}"))?;
-                let resp = proto::decode_response(&payload)
-                    .map_err(|e| format!("decode: {}", e.detail))?;
-                if resp.id != id {
-                    return Err(format!("correlation mismatch: sent {id}, got {}", resp.id));
-                }
-                Ok(resp)
-            }
+            Transport::Tcp(stream) => harness::call(stream, id, 0, deadline_us, params),
         }
     }
 
@@ -474,14 +466,6 @@ impl BindingPicker {
         self.state = self.state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         ((self.state >> 33) as usize) % self.len
     }
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
 }
 
 fn main() {
@@ -743,9 +727,9 @@ fn main() {
     );
 
     let mut out = String::from("{\n");
-    out.push_str(&format!("  \"meta\": {},\n", snb_bench::meta_json(&args.config)));
+    out.push_str(&format!("    \"meta\": {},\n", snb_bench::meta_json(&args.config)));
     out.push_str(&format!(
-        "  \"config\": {{\"clients\": {}, \"duration_us\": {}, \"mode\": \"{}\", \
+        "    \"config\": {{\"clients\": {}, \"duration_us\": {}, \"mode\": \"{}\", \
          \"rate_qps\": {:.2}, \"deadline_us\": {}, \"transport\": \"{}\", \"workers\": {}, \
          \"queue_capacity\": {}, \"partitions\": {}, \"updates\": {}, \"bindings\": {}}},\n",
         args.clients,
@@ -767,7 +751,7 @@ fn main() {
         pool.len(),
     ));
     out.push_str(&format!(
-        "  \"latency_us\": {{\"count\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \
+        "    \"latency_us\": {{\"count\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \
          \"p99\": {}, \"max\": {}}},\n",
         lat.len(),
         mean_us,
@@ -777,7 +761,7 @@ fn main() {
         lat.last().copied().unwrap_or(0),
     ));
     out.push_str(&format!(
-        "  \"throughput\": {{\"offered\": {}, \"offered_qps\": {:.2}, \"achieved_qps\": {:.2}, \
+        "    \"throughput\": {{\"offered\": {}, \"offered_qps\": {:.2}, \"achieved_qps\": {:.2}, \
          \"wall_us\": {}}},\n",
         total.issued,
         offered_qps,
@@ -785,7 +769,7 @@ fn main() {
         wall.as_micros(),
     ));
     out.push_str(&format!(
-        "  \"outcomes\": {{\"ok\": {}, \"shed\": {}, \"deadline_missed\": {}, \
+        "    \"outcomes\": {{\"ok\": {}, \"shed\": {}, \"deadline_missed\": {}, \
          \"deadline_overrun\": {}, \"shutting_down\": {}, \"bad_request\": {}, \"internal\": {}, \
          \"store_poisoned\": {}, \"not_primary\": {}, \"stale_read\": {}, \"fenced\": {}, \
          \"protocol_errors\": {}, \"verify_failures\": {}, \
@@ -808,7 +792,7 @@ fn main() {
     ));
     if let Some(r) = &server_report {
         out.push_str(&format!(
-            ",\n  \"server\": {{\"served\": {}, \"shed\": {}, \"deadline_missed\": {}, \
+            ",\n    \"server\": {{\"served\": {}, \"shed\": {}, \"deadline_missed\": {}, \
              \"deadline_overrun\": {}, \"served_by_lane\": [{}, {}, {}], \
              \"shed_by_lane\": [{}, {}, {}], \
              \"rejected_shutdown\": {}, \"bad_requests\": {}, \"internal_errors\": {}, \
@@ -852,9 +836,8 @@ fn main() {
         out.push_str(",\n");
         out.push_str(&wal_bench::run(&args));
     }
-    out.push_str("\n}\n");
-    std::fs::write(&args.out, out).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
-    println!("wrote {}", args.out);
+    out.push_str("\n  }");
+    harness::write_block(&args.out, "load", &out);
 
     if total.protocol_errors > 0 || total.verify_failures > 0 {
         eprintln!(

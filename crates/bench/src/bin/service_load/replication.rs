@@ -39,23 +39,16 @@
 //!
 //! Results land in a `"replication"` block of `BENCH_service.json`.
 
-use std::io::BufRead;
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use snb_bi::BiParams;
-use snb_datagen::dictionaries::StaticWorld;
-use snb_engine::QueryContext;
 use snb_params::ParamGen;
-use snb_server::proto::{self, Request};
-use snb_server::{replication, Response, ServiceParams, WriteBatch, WriteOps};
+use snb_server::{replication, ServiceParams};
 
+use crate::harness::{self, call, percentile, submit, wait_min_seq, Node, ACK_TIMEOUT};
 use crate::Args;
 
-/// Read timeout on client connections: long enough for a slow CI BI
-/// query, short enough to notice a dead process.
-const ACK_TIMEOUT: Duration = Duration::from_secs(10);
 /// Closed-loop read window per ladder rung.
 const WINDOW: Duration = Duration::from_millis(1500);
 /// Clients per node in the read ladder (same on both rungs, so the
@@ -65,155 +58,11 @@ const CLIENTS_PER_NODE: usize = 4;
 /// Batches held back from the lag stream for the failover phase.
 const FAILOVER_TAIL: u64 = 3;
 
-/// One spawned `snb-server` process (primary or follower).
-struct Node {
-    child: Child,
-    /// Client (query) endpoint.
-    addr: String,
-    /// Replication (log-shipping / promotion) endpoint.
-    repl_addr: String,
-    recovered_seq: u64,
-    name: String,
-}
-
-impl Node {
-    fn spawn(
-        args: &Args,
-        bin: &str,
-        name: &str,
-        wal_dir: &std::path::Path,
-        replicate_from: Option<&str>,
-    ) -> Node {
-        let mut cmd = Command::new(bin);
-        cmd.arg(&args.scale)
-            .arg(args.config.seed.to_string())
-            .args(["--port", "0", "--repl-port", "0", "--workers", "2"])
-            .args(["--snapshot-every", "5", "--partitions", "2"])
-            .arg("--wal-dir")
-            .arg(wal_dir)
-            .env_remove("SNB_FAULTS")
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        if let Some(primary) = replicate_from {
-            cmd.args(["--follower", "--replicate-from", primary]);
-        }
-        let mut child = cmd.spawn().unwrap_or_else(|e| panic!("spawn {name} ({bin}): {e}"));
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut recovered_seq = 0;
-        let mut repl_addr = None;
-        let mut addr = None;
-        let mut reader = std::io::BufReader::new(stdout);
-        for line in (&mut reader).lines() {
-            let line = line.expect("server stdout");
-            if let Some(rest) = line.strip_prefix("recovered seq=") {
-                let seq = rest.split_whitespace().next().unwrap_or("0");
-                recovered_seq = seq.parse().unwrap_or(0);
-            } else if let Some(a) = line.strip_prefix("replication on ") {
-                repl_addr = Some(a.trim().to_string());
-            } else if let Some(a) = line.strip_prefix("listening on ") {
-                addr = Some(a.trim().to_string());
-                break;
-            }
-        }
-        // Keep draining stdout for the process lifetime: the node keeps
-        // talking (e.g. `promoted writable_from=`) and must never block
-        // — or die with EPIPE — on a full or closed pipe.
-        std::thread::spawn(move || for _ in reader.lines() {});
-        let addr = addr.unwrap_or_else(|| panic!("{name} exited before listening"));
-        let repl_addr = repl_addr.unwrap_or_else(|| panic!("{name} printed no replication port"));
-        Node { child, addr, repl_addr, recovered_seq, name: name.to_string() }
-    }
-
-    fn connect(&self) -> TcpStream {
-        for _ in 0..100 {
-            if let Ok(s) = TcpStream::connect(&self.addr) {
-                let _ = s.set_nodelay(true);
-                let _ = s.set_read_timeout(Some(ACK_TIMEOUT));
-                return s;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        panic!("could not connect to {} at {}", self.name, self.addr);
-    }
-
-    /// SIGKILL — the crash under test; no drain, no destructors.
-    fn sigkill(mut self) {
-        self.child.kill().expect("SIGKILL node");
-        self.child.wait().expect("reap node");
-    }
-
-    /// Graceful stop for teardown.
-    #[cfg(unix)]
-    fn terminate(mut self) {
-        extern "C" {
-            fn kill(pid: i32, sig: i32) -> i32;
-        }
-        unsafe {
-            kill(self.child.id() as i32, 15);
-        }
-        let _ = self.child.wait();
-    }
-
-    #[cfg(not(unix))]
-    fn terminate(self) {
-        self.sigkill();
-    }
-}
-
-fn call(
-    stream: &mut TcpStream,
-    id: u64,
-    min_seq: u64,
-    params: ServiceParams,
-) -> Result<Response, String> {
-    let req = Request { id, deadline_us: 0, min_seq, params };
-    proto::write_frame(stream, &proto::encode_request(&req)).map_err(|e| format!("write: {e}"))?;
-    let payload = proto::read_frame(stream).map_err(|e| format!("read: {e}"))?;
-    proto::decode_response(&payload).map_err(|e| format!("decode: {}", e.detail))
-}
-
-/// Submits batch `seq`; `Ok((flavor, rows))` mirrors the chaos harness:
-/// `"deduped"` exactly when the ack applied nothing.
-fn submit(stream: &mut TcpStream, seq: u64, ops: &WriteOps) -> Result<(&'static str, u64), String> {
-    let params = ServiceParams::Write(WriteBatch { seq, ops: ops.clone() });
-    let resp = call(stream, seq, 0, params)?;
-    match resp.body {
-        Ok(ok) if ok.rows == 0 => Ok(("deduped", 0)),
-        Ok(ok) => Ok(("ok", ok.rows)),
-        Err(e) => Err(format!("{}: {}", e.kind.name(), e.detail)),
-    }
-}
-
 /// One probe read; returns the responding node's `applied_seq` stamp.
 fn probe_applied(stream: &mut TcpStream, id: u64, probe: &BiParams) -> u64 {
-    match call(stream, id, 0, ServiceParams::Bi(probe.clone())).expect("probe read").body {
+    match call(stream, id, 0, 0, ServiceParams::Bi(probe.clone())).expect("probe read").body {
         Ok(ok) => ok.applied_seq,
         Err(e) => panic!("probe read refused: {}: {}", e.kind.name(), e.detail),
-    }
-}
-
-/// Polls `min_seq = target` reads until one serves, counting the typed
-/// `stale_read` refusals along the way. Returns (wall-clock, refusals).
-fn wait_min_seq(stream: &mut TcpStream, target: u64, probe: &BiParams) -> (Duration, u64) {
-    let started = Instant::now();
-    let deadline = started + Duration::from_secs(60);
-    let mut stale = 0u64;
-    let mut id = 1_000_000;
-    loop {
-        id += 1;
-        let resp = call(stream, id, target, ServiceParams::Bi(probe.clone())).expect("probe");
-        match resp.body {
-            Ok(ok) => {
-                assert!(ok.applied_seq >= target, "served below min_seq: {}", ok.applied_seq);
-                return (started.elapsed(), stale);
-            }
-            Err(e) if e.kind == snb_server::ErrorKind::StaleRead => {
-                stale += 1;
-                assert!(Instant::now() < deadline, "catch-up stuck below seq {target}");
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => panic!("catch-up probe refused: {}: {}", e.kind.name(), e.detail),
-        }
     }
 }
 
@@ -240,7 +89,7 @@ fn read_window(addrs: &[&str], min_seq: u64, pool: &[(u8, BiParams)]) -> (u64, u
                         i += 1;
                         id += 1;
                         let resp =
-                            call(&mut stream, id, min_seq, ServiceParams::Bi(params.clone()))
+                            call(&mut stream, id, min_seq, 0, ServiceParams::Bi(params.clone()))
                                 .expect("ladder read");
                         match resp.body {
                             Ok(_) => ok += 1,
@@ -261,23 +110,7 @@ fn read_window(addrs: &[&str], min_seq: u64, pool: &[(u8, BiParams)]) -> (u64, u
     (ok_total, stale_total, ok_total as f64 / started.elapsed().as_secs_f64())
 }
 
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
 pub fn run(args: &Args) {
-    let bin = args.server_bin.clone().unwrap_or_else(|| {
-        let exe = std::env::current_exe().expect("current_exe");
-        exe.parent().expect("target dir").join("snb-server").display().to_string()
-    });
-    assert!(
-        std::path::Path::new(&bin).exists(),
-        "snb-server binary not found at {bin} (build it or pass --server-bin)"
-    );
     let base_dir = std::env::temp_dir().join(format!("snb_repl_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base_dir);
     let wal_dir = |name: &str| base_dir.join(name);
@@ -287,7 +120,7 @@ pub fn run(args: &Args) {
         args.scale, args.config.seed
     );
     let (base_store, stream) = snb_store::bulk_store_and_stream(&args.config);
-    let batches = crate::chaos::carve_stream(&stream, 16);
+    let batches = harness::carve_stream(&stream, 16);
     let total = batches.len() as u64;
     assert!(total >= 12, "need at least 12 batches for the three phases, got {total}");
     let seq_ops = |seq: u64| &batches[(seq - 1) as usize];
@@ -306,8 +139,8 @@ pub fn run(args: &Args) {
     // ---- Phase 1: backlog + cold-follower catch-up.
     let backlog = total / 3;
     eprintln!("# replication phase 1: primary + {} batch backlog, then catch-up", backlog);
-    let primary = Node::spawn(args, &bin, "primary", &wal_dir("primary"), None);
-    assert_eq!(primary.recovered_seq, 0, "fresh primary recovers to the bulk image");
+    let primary = Node::spawn_replicating(args, "primary", &wal_dir("primary"), None, None);
+    assert_eq!(primary.recovery.seq, 0, "fresh primary recovers to the bulk image");
     let mut pconn = primary.connect();
     for seq in 1..=backlog {
         let (flavor, _) = submit(&mut pconn, seq, seq_ops(seq)).expect("backlog ack");
@@ -321,9 +154,9 @@ pub fn run(args: &Args) {
         let name = format!("follower{i}");
         let spawned = Instant::now();
         let node =
-            Node::spawn(args, &bin, &name, &wal_dir(&name), Some(primary.repl_addr.as_str()));
+            Node::spawn_replicating(args, &name, &wal_dir(&name), Some(&primary.repl_addr), None);
         let mut conn = node.connect();
-        let (waited, stale_retries) = wait_min_seq(&mut conn, backlog, &probe);
+        let (waited, stale_retries) = wait_min_seq(&mut conn, backlog, &probe, "catch-up");
         let catch_up_ms = spawned.elapsed().as_millis() as u64;
         eprintln!(
             "# replication: {name} caught up to seq {backlog} in {catch_up_ms} ms \
@@ -356,7 +189,7 @@ pub fn run(args: &Args) {
     // Drain: every follower reaches the streamed high-water mark before
     // the ladder, so ladder reads pinned there never wait out lag.
     for conn in fconns.iter_mut() {
-        let _ = wait_min_seq(conn, streamed_to, &probe);
+        let _ = wait_min_seq(conn, streamed_to, &probe, "drain");
     }
 
     // ---- Phase 3: read-scaling ladder.
@@ -425,55 +258,14 @@ pub fn run(args: &Args) {
 
     // ---- Oracle: every batch applied exactly once, all 25 BI queries.
     eprintln!("# replication: verifying 25 BI queries against the every-batch oracle");
-    let mut oracle = base_store;
-    let world = StaticWorld::build(args.config.seed);
-    for ops in &batches {
-        match ops {
-            WriteOps::Updates(events) => {
-                for ev in events {
-                    oracle.apply_event(ev, &world).expect("oracle apply");
-                }
-            }
-            WriteOps::Deletes(dels) => {
-                oracle.apply_deletes(dels).expect("oracle delete");
-            }
-        }
-    }
-    if !oracle.date_index_fresh() {
-        oracle.rebuild_date_index();
-    }
-    oracle.validate_invariants().expect("oracle invariants");
-    let gen = ParamGen::new(&oracle, args.config.seed);
-    let ctx = QueryContext::single_threaded();
-    let mut verified = 0u64;
-    let mut mismatches = 0u64;
-    for q in 1..=25u8 {
-        for params in gen.bi_params(q, 2) {
-            let want = snb_bi::run_with(&oracle, &ctx, &params);
-            let resp = call(&mut conn, 10_000_000 + verified, total, ServiceParams::Bi(params))
-                .expect("verify read");
-            verified += 1;
-            match resp.body {
-                Ok(ok) if ok.rows == want.rows as u64 && ok.fingerprint == want.fingerprint => {}
-                Ok(ok) => {
-                    mismatches += 1;
-                    eprintln!(
-                        "REPLICATION VERIFY FAILURE: BI {q}: rows {} fp {:#x}, \
-                         oracle rows {} fp {:#x}",
-                        ok.rows, ok.fingerprint, want.rows, want.fingerprint
-                    );
-                }
-                Err(e) => {
-                    mismatches += 1;
-                    eprintln!(
-                        "REPLICATION VERIFY FAILURE: BI {q}: {}: {}",
-                        e.kind.name(),
-                        e.detail
-                    );
-                }
-            }
-        }
-    }
+    let (verified, mismatches) = harness::verify_every_batch(
+        base_store,
+        &batches,
+        args.config.seed,
+        &mut [("promoted", &mut conn)],
+        total,
+        "REPLICATION",
+    );
     drop(conn);
     new_primary.terminate();
     for f in followers {
@@ -510,8 +302,7 @@ pub fn run(args: &Args) {
     );
 
     let mut out = String::from("{\n");
-    out.push_str(&format!("  \"meta\": {},\n", snb_bench::meta_json(&args.config)));
-    out.push_str("  \"replication\": {\n");
+    out.push_str(&format!("    \"meta\": {},\n", snb_bench::meta_json(&args.config)));
     out.push_str(&format!(
         "    \"followers\": {}, \"total_batches\": {total}, \"backlog_batches\": {backlog},\n",
         args.followers
@@ -544,9 +335,8 @@ pub fn run(args: &Args) {
          \"rededuped\": {rededuped}, \"queries_verified\": {verified}, \
          \"mismatches\": {mismatches}}}\n"
     ));
-    out.push_str("  }\n}\n");
-    std::fs::write(&args.out, out).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
-    println!("wrote {}", args.out);
+    out.push_str("  }");
+    harness::write_block(&args.out, "replication", &out);
     eprintln!(
         "# replication: PASS ({} followers, {total} batches, {failover_ms} ms failover, \
          {verified} queries)",

@@ -30,9 +30,10 @@ use snb_bi::BiParams;
 use snb_interactive::IsParams;
 use snb_params::ParamGen;
 use snb_server::proto::{self, Request};
-use snb_server::{Response, Server, ServiceParams, ServiceReport};
+use snb_server::{Server, ServiceParams, ServiceReport};
 
-use crate::{percentile, Args};
+use crate::harness::{self, call, percentile};
+use crate::Args;
 
 /// Heavy-lane queries for the mix: mid-weight BI reads (not the
 /// heaviest tail, which would collapse a 1-core ladder to a handful of
@@ -86,13 +87,6 @@ impl LevelStats {
         self.heavy_lat.sort_unstable();
         all
     }
-}
-
-fn call(conn: &mut TcpStream, id: u64, params: ServiceParams) -> Result<Response, String> {
-    let req = Request { id, deadline_us: 0, min_seq: 0, params };
-    proto::write_frame(conn, &proto::encode_request(&req)).map_err(|e| format!("write: {e}"))?;
-    let payload = proto::read_frame(conn).map_err(|e| format!("read: {e}"))?;
-    proto::decode_response(&payload).map_err(|e| format!("decode: {}", e.detail))
 }
 
 /// One ladder level: `level` concurrent connections, closed-loop
@@ -208,7 +202,7 @@ fn run_flood(
     let mut short_ok = 0u64;
     for i in 0..PROBES as u64 {
         let t0 = Instant::now();
-        match call(&mut probe_conn, i + 1, short_params(pools, i)) {
+        match call(&mut probe_conn, i + 1, 0, 0, short_params(pools, i)) {
             Ok(resp) if resp.body.is_ok() => {
                 short_ok += 1;
                 short_lat.push(t0.elapsed().as_micros() as u64);
@@ -325,9 +319,9 @@ pub fn run(args: &Args) {
 
     let report = server.shutdown();
     let mut out = String::from("{\n");
-    out.push_str(&format!("  \"meta\": {},\n", snb_bench::meta_json(&args.config)));
+    out.push_str(&format!("    \"meta\": {},\n", snb_bench::meta_json(&args.config)));
     out.push_str(&format!(
-        "  \"config\": {{\"mode\": \"sweep\", \"levels\": {:?}, \"level_duration_us\": {}, \
+        "    \"config\": {{\"levels\": {:?}, \"level_duration_us\": {}, \
          \"mix\": \"{}:{} short:heavy\", \"workers\": {}, \"queue_capacity\": {}, \
          \"partitions\": {}}},\n",
         args.sweep_levels,
@@ -338,14 +332,14 @@ pub fn run(args: &Args) {
         args.server.queue_capacity,
         args.server.partitions,
     ));
-    out.push_str("  \"sweep\": {\n    \"levels\": [\n");
+    out.push_str("    \"levels\": [\n");
     out.push_str(&level_json.join(",\n"));
     out.push_str("\n    ],\n");
-    out.push_str(&format!("    \"flood\": {flood_json}\n  }},\n"));
+    out.push_str(&format!("    \"flood\": {flood_json},\n"));
     out.push_str(&format!(
-        "  \"server\": {{\"served\": {}, \"shed\": {}, \"served_by_lane\": [{}, {}, {}], \
+        "    \"server\": {{\"served\": {}, \"shed\": {}, \"served_by_lane\": [{}, {}, {}], \
          \"shed_by_lane\": [{}, {}, {}], \"deadline_overrun\": {}, \"conn_accepted\": {}, \
-         \"conn_peak\": {}, \"conn_stalled\": {}, \"reader_retries\": {}, \"reader_blocked\": {}}}\n",
+         \"conn_peak\": {}, \"conn_stalled\": {}, \"reader_retries\": {}, \"reader_blocked\": {}}}\n  }}",
         report.served,
         report.shed,
         report.served_by_lane[0],
@@ -361,9 +355,7 @@ pub fn run(args: &Args) {
         report.reader_retries,
         report.reader_blocked,
     ));
-    out.push_str("}\n");
-    std::fs::write(&args.out, &out).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
-    println!("wrote {}", args.out);
+    harness::write_block(&args.out, "sweep", &out);
 
     if report.conn_peak < max_level as u64 {
         eprintln!(

@@ -16,7 +16,8 @@ use std::time::Instant;
 
 use snb_server::{Server, ServerConfig, ServiceParams, WalOptions, WriteBatch, WriteOps};
 
-use crate::{percentile, Args};
+use crate::harness::{carve_batches, percentile};
+use crate::Args;
 
 /// Clients driving the group-commit run concurrently. Each owns the
 /// sequence numbers `i % GROUP_CLIENTS == t` and retries on the
@@ -43,7 +44,7 @@ fn bench_one(args: &Args, fsync_every: u64) -> BenchRun {
     let server = Server::start_durable(store, args.server.clone(), durability);
     let client = server.client();
 
-    let batches = crate::chaos::carve_batches(&args.config, 64);
+    let batches = carve_batches(&args.config, 64);
     let mut latencies_us = Vec::with_capacity(batches.len());
     let started = Instant::now();
     for (i, ops) in batches.into_iter().enumerate() {
@@ -73,21 +74,20 @@ fn bench_one(args: &Args, fsync_every: u64) -> BenchRun {
 fn bench_group(args: &Args) -> BenchRun {
     let dir = std::env::temp_dir().join(format!("snb_walbench_group_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let options =
-        WalOptions {
-            fsync_every: 32,
-            snapshot_every: 0,
-            partitions: 2,
-            group_commit: true,
-            ..WalOptions::default()
-        };
+    let options = WalOptions {
+        fsync_every: 32,
+        snapshot_every: 0,
+        partitions: 2,
+        group_commit: true,
+        ..WalOptions::default()
+    };
     let recovered = snb_server::recover(&dir, &args.config, &args.scale, options)
         .expect("wal-bench group-commit recovery on a fresh directory");
     let (store, durability, _) = recovered.into_durability();
     let server_config = ServerConfig { partitions: 2, ..args.server.clone() };
     let server = Server::start_durable(store, server_config, durability);
 
-    let batches = crate::chaos::carve_batches(&args.config, 64);
+    let batches = carve_batches(&args.config, 64);
     let started = Instant::now();
     let mut latencies_us: Vec<u64> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -158,7 +158,7 @@ pub fn run(args: &Args) -> String {
     let qps = |r: &BenchRun| r.applied as f64 / (r.wall_us.max(1) as f64 / 1e6);
     let acks_per_fsync = group.applied as f64 / group.fsyncs.max(1) as f64;
     format!(
-        "  \"wal\": {{\"batches\": {}, \"fsync_every_1\": {}, \"fsync_every_64\": {}, \
+        "    \"wal\": {{\"batches\": {}, \"fsync_every_1\": {}, \"fsync_every_64\": {}, \
          \"group_commit\": {}, \"group_clients\": {GROUP_CLIENTS}, \
          \"group_acks_per_fsync\": {:.2}, \"group_throughput_delta\": {:.2}}}",
         every_ack.applied,

@@ -510,7 +510,9 @@ fn make_post<S: ActivitySink>(
     emit_likes(state, persons, sink, id, MessageKind::Post, author, creation);
 
     if !image {
-        make_comment_tree(state, persons, sink, id, id, author, author, &post_tags, creation, 0, rng);
+        make_comment_tree(
+            state, persons, sink, id, id, author, author, &post_tags, creation, 0, rng,
+        );
     }
 }
 

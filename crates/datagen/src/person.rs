@@ -56,8 +56,8 @@ pub fn generate_person(config: &GeneratorConfig, world: &StaticWorld, i: u64) ->
         Gender::Female => (FEMALE_NAMES, &world.female_name_ranks[country]),
     };
     let first_name = pool[ranks[world.name_rank_sampler.sample(&mut rng)] as usize];
-    let last_name = SURNAMES
-        [world.surname_ranks[country][world.name_rank_sampler.sample(&mut rng)] as usize];
+    let last_name =
+        SURNAMES[world.surname_ranks[country][world.name_rank_sampler.sample(&mut rng)] as usize];
 
     // Birthday: uniform over 1980-01-01 .. 1995-12-31.
     let bday_lo = Date::from_ymd(1980, 1, 1).0;

@@ -123,8 +123,7 @@ pub fn build_update_streams_dense(
     for m in tail.memberships.iter().filter(|m| m.join_date >= cut) {
         events.push(TimedEvent {
             timestamp: m.join_date,
-            dependent: person_created[m.person.0 as usize]
-                .max(forum_created[m.forum.0 as usize]),
+            dependent: person_created[m.person.0 as usize].max(forum_created[m.forum.0 as usize]),
             event: UpdateEvent::AddMembership(*m),
         });
     }
@@ -137,8 +136,8 @@ pub fn build_update_streams_dense(
             }
             MessageKind::Comment => {
                 let parent = m.reply_of.expect("comment has parent");
-                let dep = person_created[m.creator.0 as usize]
-                    .max(message_created[parent.0 as usize].0);
+                let dep =
+                    person_created[m.creator.0 as usize].max(message_created[parent.0 as usize].0);
                 (dep, UpdateEvent::AddComment(m.clone()))
             }
         };

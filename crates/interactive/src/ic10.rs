@@ -77,7 +77,8 @@ pub fn run(store: &Store, params: &Params) -> Vec<Row> {
             person_last_name: store.persons.last_name[p as usize].to_string(),
             common_interest_score: score,
             person_gender: store.persons.gender[p as usize].as_str().to_string(),
-            person_city_name: store.places.name[store.persons.city[p as usize] as usize].to_string(),
+            person_city_name: store.places.name[store.persons.city[p as usize] as usize]
+                .to_string(),
         };
         tk.push((std::cmp::Reverse(score), row.person_id), row);
     }
@@ -120,7 +121,8 @@ pub fn run_naive(store: &Store, params: &Params) -> Vec<Row> {
             person_last_name: store.persons.last_name[p as usize].to_string(),
             common_interest_score: score,
             person_gender: store.persons.gender[p as usize].as_str().to_string(),
-            person_city_name: store.places.name[store.persons.city[p as usize] as usize].to_string(),
+            person_city_name: store.places.name[store.persons.city[p as usize] as usize]
+                .to_string(),
         };
         items.push(((std::cmp::Reverse(score), row.person_id), row));
     }

@@ -86,8 +86,8 @@ fn tag_ids(r: &mut Reader<'_>) -> Result<Vec<TagId>, DecodeError> {
 
 fn encode_person(buf: &mut Vec<u8>, p: &RawPerson) {
     put_u64(buf, p.id.0);
-    put_str(buf, &p.first_name);
-    put_str(buf, &p.last_name);
+    put_str(buf, p.first_name);
+    put_str(buf, p.last_name);
     put_u8(
         buf,
         match p.gender {

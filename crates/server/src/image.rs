@@ -93,7 +93,12 @@ fn encode_header(scale: &str, seed: u64, h: &ImageHeader) -> Vec<u8> {
 /// Parses and verifies the header, returning `(body_offset, header)`.
 /// Every mismatch — magic, scale, seed, checksum, truncation — is a
 /// hard error.
-fn decode_header(bytes: &[u8], scale: &str, seed: u64, path: &Path) -> SnbResult<(usize, ImageHeader)> {
+fn decode_header(
+    bytes: &[u8],
+    scale: &str,
+    seed: u64,
+    path: &Path,
+) -> SnbResult<(usize, ImageHeader)> {
     let need = |n: usize, at: usize| -> SnbResult<()> {
         if at + n > bytes.len() {
             Err(image_err(path, "truncated image header"))
@@ -111,7 +116,10 @@ fn decode_header(bytes: &[u8], scale: &str, seed: u64, path: &Path) -> SnbResult
     let got_scale = std::str::from_utf8(&bytes[at..at + scale_len])
         .map_err(|_| image_err(path, "scale name is not UTF-8"))?;
     if got_scale != scale {
-        return Err(image_err(path, format!("scale mismatch: image {got_scale:?}, store {scale:?}")));
+        return Err(image_err(
+            path,
+            format!("scale mismatch: image {got_scale:?}, store {scale:?}"),
+        ));
     }
     at += scale_len;
     need(8 * 5 + 4 + 8, at)?;
@@ -234,7 +242,12 @@ pub fn peek_header(bytes: &[u8], scale: &str, seed: u64) -> SnbResult<ImageHeade
 
 /// Verifies and decodes a complete image byte buffer (a local file or a
 /// shipped bootstrap blob) into a store plus its header.
-pub fn decode_image(bytes: &[u8], scale: &str, seed: u64, path: &Path) -> SnbResult<(Store, ImageHeader)> {
+pub fn decode_image(
+    bytes: &[u8],
+    scale: &str,
+    seed: u64,
+    path: &Path,
+) -> SnbResult<(Store, ImageHeader)> {
     let (off, header) = decode_header(bytes, scale, seed, path)?;
     let body = &bytes[off..];
     if body.len() as u64 != header.body_len {
@@ -288,8 +301,7 @@ mod tests {
     use snb_datagen::GeneratorConfig;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("snb-image-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("snb-image-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -402,7 +414,11 @@ mod tests {
         bad[mid] ^= 0xff;
         let before = std::fs::read(dst.join(IMAGE_FILE)).unwrap();
         assert!(install_image_bytes(&dst, "0.001", 7, &bad).is_err());
-        assert_eq!(std::fs::read(dst.join(IMAGE_FILE)).unwrap(), before, "corrupt blob must not land");
+        assert_eq!(
+            std::fs::read(dst.join(IMAGE_FILE)).unwrap(),
+            before,
+            "corrupt blob must not land"
+        );
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dst);
     }

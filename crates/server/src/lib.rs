@@ -16,7 +16,7 @@
 //! - [`server`] — the service core: lane-classified admission, deadline
 //!   checks at dequeue and at completion, worker pool over
 //!   [`snb_engine::QueryContext`], a readiness-driven epoll reactor for
-//!   TCP (thread-per-connection off Linux) plus the in-process
+//!   TCP plus the in-process
 //!   transport, graceful drain-then-shutdown, and a concurrent-write
 //!   path for update-stream replay;
 //! - [`log`] — the structured access log (query id, binding hash,
@@ -34,7 +34,6 @@ pub mod image;
 pub mod log;
 pub mod proto;
 pub mod queue;
-#[cfg(target_os = "linux")]
 pub(crate) mod reactor;
 pub mod replication;
 pub mod retry;
@@ -55,7 +54,7 @@ pub use server::{
     ServiceReport, StoreWriter,
 };
 pub use wal::{
-    recover, Recovered, RecoveryReport, SegmentedWal, ShippedRecord, Wal, WalOptions, WalTailer,
+    recover, Recovered, RecoveryReport, SegmentedWal, ShippedRecord, WalOptions, WalTailer,
 };
 
 #[cfg(test)]

@@ -1301,9 +1301,9 @@ pub fn decode_repl(payload: &[u8]) -> Result<ReplFrame, DecodeError> {
             let offset = r.u64()?;
             let n = r.u32()? as usize;
             if n > IMAGE_CHUNK_BYTES {
-                return Err(r.err(format!(
-                    "image chunk of {n} bytes exceeds maximum {IMAGE_CHUNK_BYTES}"
-                )));
+                return Err(
+                    r.err(format!("image chunk of {n} bytes exceeds maximum {IMAGE_CHUNK_BYTES}"))
+                );
             }
             let data = r.take(n)?.to_vec();
             ReplFrame::ImageChunk { offset, data }

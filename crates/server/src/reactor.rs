@@ -13,6 +13,9 @@
 //! sweep to the thousands — the property `service_load --sweep`
 //! measures.
 //!
+//! The reactor is the service's only TCP transport, so the crate
+//! targets Linux.
+//!
 //! The wrapper is level-triggered on purpose: if a wakeup leaves bytes
 //! unread (e.g. the per-wakeup fairness cap), the next `epoll_wait`
 //! reports the fd again, so no readiness is ever lost to an edge.

@@ -1598,7 +1598,6 @@ pub struct Server {
     workers: Vec<std::thread::JoinHandle<()>>,
     write_workers: Vec<std::thread::JoinHandle<()>>,
     acceptor: Option<std::thread::JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
     local_addr: Option<SocketAddr>,
 }
 
@@ -1702,65 +1701,25 @@ impl Server {
                 })
             })
             .collect();
-        Server {
-            inner,
-            workers,
-            write_workers,
-            acceptor: None,
-            connections: Arc::new(Mutex::new(Vec::new())),
-            local_addr: None,
-        }
+        Server { inner, workers, write_workers, acceptor: None, local_addr: None }
     }
 
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts accepting connections; returns the bound address.
     ///
-    /// On Linux the transport is a readiness-driven reactor: a single
-    /// thread `epoll_wait`s on the listener plus every connection, so
-    /// an idle connection costs one registered fd and a buffer rather
-    /// than an OS thread — the property that lets `service_load
-    /// --sweep` hold a thousand connections open against a fixed
-    /// thread count. Elsewhere it falls back to thread-per-connection.
+    /// The transport is a readiness-driven reactor: a single thread
+    /// `epoll_wait`s on the listener plus every connection, so an idle
+    /// connection costs one registered fd and a buffer rather than an
+    /// OS thread — the property that lets `service_load --sweep` hold
+    /// a thousand connections open against a fixed thread count.
     pub fn listen(&mut self, addr: &str) -> std::io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         self.local_addr = Some(local);
         let inner = Arc::clone(&self.inner);
-        #[cfg(target_os = "linux")]
-        {
-            let poller = crate::reactor::Poller::new()?;
-            self.acceptor =
-                Some(std::thread::spawn(move || reactor_loop(&inner, listener, poller)));
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let connections = Arc::clone(&self.connections);
-            self.acceptor = Some(std::thread::spawn(move || {
-                while inner.accepting.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            inner.counters.conn_accepted.fetch_add(1, Ordering::Relaxed);
-                            let inner = Arc::clone(&inner);
-                            let handle =
-                                std::thread::spawn(move || connection_loop(&inner, stream));
-                            let mut conns = connections
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            conns.push(handle);
-                            inner
-                                .counters
-                                .conn_peak
-                                .fetch_max(conns.len() as u64, Ordering::Relaxed);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }));
-        }
+        let poller = crate::reactor::Poller::new()?;
+        self.acceptor = Some(std::thread::spawn(move || reactor_loop(&inner, listener, poller)));
         Ok(local)
     }
 
@@ -1907,12 +1866,6 @@ impl Server {
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
-        let handles: Vec<_> = std::mem::take(
-            &mut *self.connections.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        for h in handles {
-            let _ = h.join();
-        }
         // Seal the WAL: any fsync-batched tail becomes durable before
         // the process exits.
         if let Some(durable) = &self.inner.durable {
@@ -1941,7 +1894,6 @@ impl Drop for Server {
 /// correlation id. Writer clones held by in-flight jobs keep a socket
 /// open after the reactor drops a connection, which is what lets
 /// shutdown drain admitted work to the wire.
-#[cfg(target_os = "linux")]
 fn reactor_loop(
     inner: &Arc<ServerInner>,
     listener: TcpListener,
@@ -2101,95 +2053,6 @@ fn reactor_loop(
                     profile: None,
                 });
             }
-        }
-    }
-}
-
-/// Reads frames off one TCP connection and admits them (the non-Linux
-/// fallback transport — one thread per connection). The read half uses
-/// a timeout poll so the thread notices shutdown; the write half is
-/// shared (behind a mutex) with the workers answering this
-/// connection's requests, so responses may interleave in completion
-/// order — clients match on the correlation id.
-#[cfg(not(target_os = "linux"))]
-fn connection_loop(inner: &Arc<ServerInner>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    // A stalled peer must not pin the shared write half either: a full
-    // socket buffer on a dead client fails the write instead of
-    // blocking a worker forever.
-    let _ = stream.set_write_timeout(inner.config.conn_read_timeout);
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
-    let mut reader = stream;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut tmp = [0u8; 16 * 1024];
-    let mut last_progress = Instant::now();
-    loop {
-        loop {
-            match proto::take_frame(&mut buf) {
-                // Decode happens on a lane worker: this thread only peeks
-                // the fixed header for routing.
-                Ok(Some(payload)) => {
-                    inner.admit_frame(payload, Responder::Tcp(Arc::clone(&writer)));
-                }
-                Ok(None) => break,
-                // Unrecoverable framing violation: drop the connection.
-                Err(_) => return,
-            }
-        }
-        if let Some(fault) = snb_fault::check("conn.read.stall") {
-            // Simulates a handler wedged in the read path (the hazard
-            // the idle deadline exists for).
-            fault.trip("conn.read.stall");
-        }
-        match reader.read(&mut tmp) {
-            Ok(0) => return,
-            Ok(n) => {
-                if snb_fault::partition_active() {
-                    // Black-holed: the peer's bytes vanish in transit —
-                    // no decode, no response, and the socket stays open.
-                    buf.clear();
-                    last_progress = Instant::now();
-                    continue;
-                }
-                buf.extend_from_slice(&tmp[..n]);
-                last_progress = Instant::now();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if !inner.accepting.load(Ordering::Acquire) {
-                    return;
-                }
-                if let Some(limit) = inner.config.conn_read_timeout {
-                    if last_progress.elapsed() > limit {
-                        // Slowloris / half-open peer: close with a typed
-                        // outcome instead of pinning this thread.
-                        inner.counters.conn_stalled.fetch_add(1, Ordering::Relaxed);
-                        inner.log.push(AccessRecord {
-                            seq: inner.log.next_seq(),
-                            workload: "",
-                            query: 0,
-                            binding_hash: 0,
-                            lane: "",
-                            queue_us: limit.as_micros() as u64,
-                            exec_us: 0,
-                            outcome: "conn_stalled",
-                            rows: 0,
-                            fingerprint: 0,
-                            store_version: inner.store.version(),
-                            snapshot_age_us: 0,
-                            profile: None,
-                        });
-                        return;
-                    }
-                }
-            }
-            Err(_) => return,
         }
     }
 }

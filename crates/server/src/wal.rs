@@ -201,18 +201,13 @@ impl RecoveryReport {
     }
 }
 
-/// An append-only write-ahead log rooted at a directory — one segment
-/// file. [`SegmentedWal`] composes several under a global sequence.
-pub struct Wal {
-    dir: PathBuf,
-    file_name: String,
+/// One append-only live-log segment file. [`SegmentedWal`] composes
+/// one or more under a global sequence and owns every policy (fsync,
+/// group commit, compaction); a segment only writes, flushes and resets.
+struct Segment {
+    path: PathBuf,
     file: File,
-    options: WalOptions,
-    scale: String,
-    seed: u64,
-    live_entries: u64,
     appends_since_sync: u64,
-    last_seq: u64,
     /// Fencing epoch recorded in this segment's header.
     epoch: u64,
     /// Set after a failed (torn) append: the file tail is garbage, so
@@ -331,37 +326,13 @@ fn encode_record(seq: u64, ops: &WriteOps) -> Vec<u8> {
     record
 }
 
-impl Wal {
-    /// Opens (or creates) the live WAL under `dir` for appending. The
-    /// header must match `(scale, seed)`; recovery is the caller's job —
-    /// this is the post-recovery append handle.
-    pub fn open(
-        dir: &Path,
-        scale: &str,
-        seed: u64,
-        options: WalOptions,
-        last_seq: u64,
-        live_entries: u64,
-    ) -> SnbResult<Wal> {
-        Wal::open_segment(dir, WAL_FILE, scale, seed, options, last_seq, live_entries, 0)
-    }
-
-    /// Opens one named segment file (see [`segment_file`]). A fresh
-    /// file is created at `epoch`; an existing file keeps the epoch its
-    /// header carries (the param is a creation default, not a match
+impl Segment {
+    /// Opens (or creates) one named segment file (see [`segment_file`])
+    /// for appending. A fresh file is created at `epoch`; an existing
+    /// file must match `(scale, seed)` and keeps the epoch its header
+    /// carries (the param is a creation default, not a match
     /// requirement).
-    #[allow(clippy::too_many_arguments)]
-    fn open_segment(
-        dir: &Path,
-        file_name: &str,
-        scale: &str,
-        seed: u64,
-        options: WalOptions,
-        last_seq: u64,
-        live_entries: u64,
-        epoch: u64,
-    ) -> SnbResult<Wal> {
-        std::fs::create_dir_all(dir)?;
+    fn open(dir: &Path, file_name: &str, scale: &str, seed: u64, epoch: u64) -> SnbResult<Segment> {
         let path = dir.join(file_name);
         let fresh = !path.exists();
         let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
@@ -378,28 +349,7 @@ impl Wal {
             epoch = stored;
             file.seek(SeekFrom::End(0))?;
         }
-        Ok(Wal {
-            dir: dir.to_path_buf(),
-            file_name: file_name.to_string(),
-            file,
-            options,
-            scale: scale.to_string(),
-            seed,
-            live_entries,
-            appends_since_sync: 0,
-            last_seq,
-            epoch,
-            broken: false,
-        })
-    }
-
-    /// Highest sequence number durably appended.
-    pub fn last_seq(&self) -> u64 {
-        self.last_seq
-    }
-
-    fn path(&self) -> PathBuf {
-        self.dir.join(&self.file_name)
+        Ok(Segment { path, file, appends_since_sync: 0, epoch, broken: false })
     }
 
     /// Writes one encoded record to the segment file, honouring the
@@ -440,91 +390,16 @@ impl Wal {
     }
 
     /// Truncates the segment back to a bare header (post-compaction).
-    fn reset_to_header(&mut self) -> SnbResult<()> {
+    fn reset_to_header(&mut self, scale: &str, seed: u64) -> SnbResult<()> {
         // set_len + seek keeps the same append handle valid.
         let mut header = Vec::new();
-        write_header(&mut header, WAL_MAGIC, &self.scale, self.seed, self.epoch);
+        write_header(&mut header, WAL_MAGIC, scale, seed, self.epoch);
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
         self.file.write_all(&header)?;
         self.file.sync_data()?;
-        self.live_entries = 0;
         self.appends_since_sync = 0;
         Ok(())
-    }
-
-    /// Appends one batch and makes it durable per the fsync policy.
-    /// Returns only after the bytes are at least `write(2)`-complete; an
-    /// error means nothing may be acknowledged and the log must be
-    /// considered torn until restart.
-    pub fn append(&mut self, seq: u64, ops: &WriteOps) -> SnbResult<()> {
-        let record = encode_record(seq, ops);
-        self.write_record(&record)?;
-        self.appends_since_sync += 1;
-        if self.appends_since_sync >= self.options.fsync_every {
-            self.sync_data()?;
-        }
-        if let Some(fault) = snb_fault::check("wal.append.post_append") {
-            // The batch is durable but not yet applied or acknowledged —
-            // the recovery-vs-retry dedupe window the chaos test aims
-            // at. The log is marked broken so a still-running process
-            // cannot append the same sequence number a second time (the
-            // record IS on disk; a duplicate would replay twice).
-            if fault.trip("wal.append.post_append") {
-                self.broken = true;
-                return Err(SnbError::Io(std::io::Error::other(
-                    "injected post-append failure (batch is durable, ack lost)",
-                )));
-            }
-        }
-        self.live_entries += 1;
-        self.last_seq = seq;
-        Ok(())
-    }
-
-    /// Forces any batched writes to disk (shutdown seal).
-    pub fn sync(&mut self) -> SnbResult<()> {
-        self.file.sync_data()?;
-        self.appends_since_sync = 0;
-        Ok(())
-    }
-
-    /// Compacts the live WAL into `snapshot.log` when it has grown past
-    /// `snapshot_every` records. Returns whether a rotation happened.
-    ///
-    /// The rotation is crash-safe: the combined snapshot is written to a
-    /// temp file, fsynced, and renamed over `snapshot.log` before the
-    /// live WAL is reset — a kill anywhere leaves either the old
-    /// (snapshot, wal) pair or the new one, never a mix that loses
-    /// records.
-    pub fn maybe_snapshot(&mut self) -> SnbResult<bool> {
-        if self.options.snapshot_every == 0 || self.live_entries < self.options.snapshot_every {
-            return Ok(false);
-        }
-        self.sync()?;
-        let snap_path = self.dir.join(SNAP_FILE);
-        let tmp_path = self.dir.join(SNAP_TMP);
-
-        let mut combined = Vec::new();
-        write_header(&mut combined, SNAP_MAGIC, &self.scale, self.seed, self.epoch);
-        if snap_path.exists() {
-            let bytes = std::fs::read(&snap_path)?;
-            let (off, _) = check_header(&bytes, SNAP_MAGIC, &self.scale, self.seed, &snap_path)?;
-            combined.extend_from_slice(&bytes[off..]);
-        }
-        let wal_path = self.path();
-        let bytes = std::fs::read(&wal_path)?;
-        let (off, _) = check_header(&bytes, WAL_MAGIC, &self.scale, self.seed, &wal_path)?;
-        combined.extend_from_slice(&bytes[off..]);
-
-        let mut tmp = File::create(&tmp_path)?;
-        tmp.write_all(&combined)?;
-        tmp.sync_data()?;
-        drop(tmp);
-        std::fs::rename(&tmp_path, &snap_path)?;
-
-        self.reset_to_header()?;
-        Ok(true)
     }
 }
 
@@ -567,18 +442,18 @@ fn guard_layout(dir: &Path, parts: usize) -> SnbResult<()> {
     Ok(())
 }
 
-/// N per-partition [`Wal`] segments composed under one global sequence —
-/// the server's append handle. Each batch is routed to its owning
-/// shard's segment ([`crate::events::route_key`] hashed with
-/// [`snb_store::partition_of_raw`]); the fsync policy, the group-commit
-/// deferral, and snapshot compaction are global across segments. With
-/// `partitions <= 1` this is exactly the classic single-file [`Wal`].
+/// The write-ahead log: N per-partition segments composed under one
+/// global sequence — the server's only append handle. Each batch is
+/// routed to its owning shard's segment ([`crate::events::route_key`]
+/// hashed with [`snb_store::partition_of_raw`]); the fsync policy, the
+/// group-commit deferral, and snapshot compaction are global across
+/// segments. With `partitions <= 1` it writes the single `wal.log`.
 pub struct SegmentedWal {
     dir: PathBuf,
     scale: String,
     seed: u64,
     options: WalOptions,
-    segments: Vec<Wal>,
+    segments: Vec<Segment>,
     last_seq: u64,
     live_entries: u64,
     appends_since_sync: u64,
@@ -614,18 +489,8 @@ impl SegmentedWal {
         let mut live_entries = 0u64;
         let mut max_epoch = epoch;
         for p in 0..parts {
-            let live = seg_live.get(p).copied().unwrap_or(0);
-            live_entries += live;
-            let seg = Wal::open_segment(
-                dir,
-                &segment_file(p, parts),
-                scale,
-                seed,
-                options,
-                last_seq,
-                live,
-                epoch,
-            )?;
+            live_entries += seg_live.get(p).copied().unwrap_or(0);
+            let seg = Segment::open(dir, &segment_file(p, parts), scale, seed, epoch)?;
             max_epoch = max_epoch.max(seg.epoch);
             segments.push(seg);
         }
@@ -667,7 +532,7 @@ impl SegmentedWal {
             return Ok(());
         }
         let offset = header_epoch_offset(&self.scale);
-        let mut paths: Vec<PathBuf> = self.segments.iter().map(|s| s.path()).collect();
+        let mut paths: Vec<PathBuf> = self.segments.iter().map(|s| s.path.clone()).collect();
         let snap_path = self.dir.join(SNAP_FILE);
         if snap_path.exists() {
             paths.push(snap_path);
@@ -749,10 +614,12 @@ impl SegmentedWal {
     }
 
     /// Appends one batch to its owning shard's segment. In the default
-    /// mode the global fsync policy runs inline exactly as the
-    /// single-file [`Wal::append`] did; with `group_commit` the flush is
-    /// deferred to [`SegmentedWal::sync_all`] and the caller must not
-    /// acknowledge until a covering flush has run.
+    /// mode the fsync policy (`fsync_every`) runs inline; with
+    /// `group_commit` the flush is deferred to [`SegmentedWal::sync_all`]
+    /// and the caller must not acknowledge until a covering flush has
+    /// run. Returns only after the bytes are at least `write(2)`-complete;
+    /// an error means nothing may be acknowledged and the log must be
+    /// considered torn until restart.
     pub fn append(&mut self, seq: u64, ops: &WriteOps) -> SnbResult<()> {
         if self.broken() {
             return Err(SnbError::Io(std::io::Error::other(
@@ -770,7 +637,11 @@ impl SegmentedWal {
             self.sync_all()?;
         }
         if let Some(fault) = snb_fault::check("wal.append.post_append") {
-            // Durable but not applied/acknowledged — see [`Wal::append`].
+            // The batch is durable but not yet applied or acknowledged —
+            // the recovery-vs-retry dedupe window the chaos test aims
+            // at. The log is marked broken so a still-running process
+            // cannot append the same sequence number a second time (the
+            // record IS on disk; a duplicate would replay twice).
             if fault.trip("wal.append.post_append") {
                 self.segments[p].broken = true;
                 return Err(SnbError::Io(std::io::Error::other(
@@ -778,9 +649,6 @@ impl SegmentedWal {
                 )));
             }
         }
-        let seg = &mut self.segments[p];
-        seg.live_entries += 1;
-        seg.last_seq = seq;
         self.live_entries += 1;
         self.last_seq = seq;
         Ok(())
@@ -804,7 +672,7 @@ impl SegmentedWal {
     /// Forces every segment to disk unconditionally (shutdown seal).
     pub fn sync(&mut self) -> SnbResult<()> {
         for seg in &mut self.segments {
-            seg.sync()?;
+            seg.sync_data()?;
         }
         self.appends_since_sync = 0;
         self.unsynced = 0;
@@ -821,8 +689,7 @@ impl SegmentedWal {
     pub fn reset_for_image(&mut self, image_seq: u64, epoch: u64) -> SnbResult<()> {
         self.bump_epoch(epoch)?;
         for seg in &mut self.segments {
-            seg.reset_to_header()?;
-            seg.last_seq = image_seq;
+            seg.reset_to_header(&self.scale, self.seed)?;
         }
         self.reset_snapshot_log()?;
         self.last_seq = image_seq;
@@ -833,10 +700,17 @@ impl SegmentedWal {
     }
 
     /// Compacts all live segments into the single `snapshot.log` when
-    /// they jointly hold `snapshot_every` records. The combined snapshot
-    /// holds the **seq-merged** view of every segment — record order in
-    /// the snapshot is the global sequence order, not file position — so
-    /// replaying it is identical to replaying the segments themselves.
+    /// they jointly hold `snapshot_every` records. Returns whether a
+    /// rotation happened. The combined snapshot holds the **seq-merged**
+    /// view of every segment — record order in the snapshot is the
+    /// global sequence order, not file position — so replaying it is
+    /// identical to replaying the segments themselves.
+    ///
+    /// The rotation is crash-safe: the combined snapshot is written to a
+    /// temp file, fsynced, and renamed over `snapshot.log` before the
+    /// live segments are reset — a kill anywhere leaves either the old
+    /// (snapshot, wal) pair or the new one, never a mix that loses
+    /// records.
     pub fn maybe_snapshot(&mut self) -> SnbResult<bool> {
         if self.options.snapshot_every == 0 || self.live_entries < self.options.snapshot_every {
             return Ok(false);
@@ -854,9 +728,9 @@ impl SegmentedWal {
         }
         let mut entries = Vec::new();
         for seg in &self.segments {
-            let path = seg.path();
-            let bytes = std::fs::read(&path)?;
-            let (off, _) = check_header(&bytes, WAL_MAGIC, &self.scale, self.seed, &path)?;
+            let path = &seg.path;
+            let bytes = std::fs::read(path)?;
+            let (off, _) = check_header(&bytes, WAL_MAGIC, &self.scale, self.seed, path)?;
             let ctx = path.display().to_string();
             let (seg_entries, valid_end) = scan_records(&bytes, off, &ctx)?;
             if valid_end != bytes.len() {
@@ -876,7 +750,7 @@ impl SegmentedWal {
         std::fs::rename(&tmp_path, &snap_path)?;
 
         for seg in &mut self.segments {
-            seg.reset_to_header()?;
+            seg.reset_to_header(&self.scale, self.seed)?;
         }
         self.live_entries = 0;
         self.appends_since_sync = 0;
@@ -941,7 +815,10 @@ pub fn recover(
     // recovery cost is image size + WAL tail, flat in history length. A
     // present-but-corrupt image is a hard refusal (never a silent
     // fallback); an absent one takes the classic full-replay path.
-    let mut store = match crate::image::load_image(dir, scale, config.seed)? {
+    let image_started = std::time::Instant::now();
+    let image = crate::image::load_image(dir, scale, config.seed)?;
+    let image_us = image_started.elapsed().as_micros() as u64;
+    let mut store = match image {
         Some((store, header)) => {
             let parts = options.partitions.max(1);
             if header.partitions != parts {
@@ -953,35 +830,38 @@ pub fn recover(
             report.image_seq = header.seq;
             report.last_seq = header.seq;
             report.epoch = header.epoch;
-            report.image_us = recovery_started.elapsed().as_micros() as u64;
+            report.image_us = image_us;
             store
         }
         None => snb_store::bulk_store_and_stream(config).0,
     };
 
-    let apply =
-        |store: &mut Store, entry: &WalEntry, last_seq: &mut u64, applied: &mut u64| -> SnbResult<()> {
-            // Replay is monotonic by sequence number: a duplicate record
-            // (an appended-but-unacked batch whose retry landed in a later
-            // log segment) is applied once, never twice. Records already
-            // covered by the store image dedupe away the same way.
-            if entry.seq <= *last_seq {
-                return Ok(());
-            }
-            match &entry.ops {
-                WriteOps::Updates(events) => {
-                    for ev in events {
-                        store.apply_event(ev, &world)?;
-                    }
+    let apply = |store: &mut Store,
+                 entry: &WalEntry,
+                 last_seq: &mut u64,
+                 applied: &mut u64|
+     -> SnbResult<()> {
+        // Replay is monotonic by sequence number: a duplicate record
+        // (an appended-but-unacked batch whose retry landed in a later
+        // log segment) is applied once, never twice. Records already
+        // covered by the store image dedupe away the same way.
+        if entry.seq <= *last_seq {
+            return Ok(());
+        }
+        match &entry.ops {
+            WriteOps::Updates(events) => {
+                for ev in events {
+                    store.apply_event(ev, &world)?;
                 }
-                WriteOps::Deletes(dels) => {
-                    store.apply_deletes(dels)?;
-                }
             }
-            *last_seq = entry.seq;
-            *applied += 1;
-            Ok(())
-        };
+            WriteOps::Deletes(dels) => {
+                store.apply_deletes(dels)?;
+            }
+        }
+        *last_seq = entry.seq;
+        *applied += 1;
+        Ok(())
+    };
 
     let snap_path = dir.join(SNAP_FILE);
     if snap_path.exists() {
@@ -1324,7 +1204,8 @@ mod tests {
         let world = StaticWorld::build(cfg.seed);
         let (mut oracle, _) = snb_store::bulk_store_and_stream(&cfg);
 
-        let mut wal = Wal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, 0).unwrap();
+        let mut wal =
+            SegmentedWal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, &[], 0).unwrap();
         for (i, ops) in batches(4).iter().enumerate() {
             wal.append(i as u64 + 1, ops).unwrap();
             match ops {
@@ -1356,7 +1237,8 @@ mod tests {
         let dir = tmp_dir("torn");
         let cfg = config();
         let all = batches(4);
-        let mut wal = Wal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, 0).unwrap();
+        let mut wal =
+            SegmentedWal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, &[], 0).unwrap();
         for (i, ops) in all.iter().enumerate() {
             wal.append(i as u64 + 1, ops).unwrap();
         }
@@ -1386,7 +1268,8 @@ mod tests {
         let dir = tmp_dir("cksum");
         let cfg = config();
         let all = batches(4);
-        let mut wal = Wal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, 0).unwrap();
+        let mut wal =
+            SegmentedWal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, &[], 0).unwrap();
         let mut offsets = vec![std::fs::metadata(dir.join(WAL_FILE)).unwrap().len()];
         for (i, ops) in all.iter().enumerate() {
             wal.append(i as u64 + 1, ops).unwrap();
@@ -1417,7 +1300,7 @@ mod tests {
         let cfg = config();
         let all = batches(6);
         let opts = WalOptions { fsync_every: 1, snapshot_every: 2, ..WalOptions::default() };
-        let mut wal = Wal::open(&dir, SCALE, cfg.seed, opts, 0, 0).unwrap();
+        let mut wal = SegmentedWal::open(&dir, SCALE, cfg.seed, opts, 0, &[], 0).unwrap();
         let mut rotations = 0;
         for (i, ops) in all.iter().enumerate() {
             wal.append(i as u64 + 1, ops).unwrap();
@@ -1443,7 +1326,8 @@ mod tests {
 
         // Against a no-snapshot control with identical appends.
         let dir2 = tmp_dir("rotate_control");
-        let mut wal2 = Wal::open(&dir2, SCALE, cfg.seed, WalOptions::default(), 0, 0).unwrap();
+        let mut wal2 =
+            SegmentedWal::open(&dir2, SCALE, cfg.seed, WalOptions::default(), 0, &[], 0).unwrap();
         for (i, ops) in all.iter().enumerate() {
             wal2.append(i as u64 + 1, ops).unwrap();
         }
@@ -1458,11 +1342,13 @@ mod tests {
     fn header_mismatch_is_refused() {
         let dir = tmp_dir("header");
         let cfg = config();
-        let mut wal = Wal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, 0).unwrap();
+        let mut wal =
+            SegmentedWal::open(&dir, SCALE, cfg.seed, WalOptions::default(), 0, &[], 0).unwrap();
         wal.append(1, &batches(1)[0]).unwrap();
         drop(wal);
         // Different seed ⇒ different bulk image ⇒ replay would corrupt.
-        assert!(Wal::open(&dir, SCALE, cfg.seed + 1, WalOptions::default(), 0, 0).is_err());
+        assert!(SegmentedWal::open(&dir, SCALE, cfg.seed + 1, WalOptions::default(), 0, &[], 0)
+            .is_err());
         assert!(recover(&dir, &cfg, "0.003", WalOptions::default()).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }

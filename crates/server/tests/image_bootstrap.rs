@@ -125,10 +125,7 @@ fn image_recovery_replays_only_the_tail_and_equals_the_oracle() {
     assert_eq!(rec.report.image_seq, 8, "recovery started from the image");
     assert_eq!(rec.report.last_seq, 10);
     assert_eq!(rec.report.tail_replayed, 2, "only the post-image tail applies");
-    assert_eq!(
-        rec.report.snapshot_entries, 0,
-        "the snapshot log was truncated behind the image"
-    );
+    assert_eq!(rec.report.snapshot_entries, 0, "the snapshot log was truncated behind the image");
 
     // Exact state: the image + tail equals a direct-apply oracle.
     let (r, o) = (rec.store.stats(), oracle(&all).stats());

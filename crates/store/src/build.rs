@@ -127,7 +127,9 @@ pub fn build_store(graph: &RawGraph, world: &StaticWorld, cut: Option<DateTime>)
         s.messages.content.push(&m.content);
         s.messages.length.push(m.length);
         s.messages.image_file.push(m.image_file.as_deref().unwrap_or_default());
-        s.messages.language.push(m.language.map(|l| world.languages[l as usize]).unwrap_or_default());
+        s.messages
+            .language
+            .push(m.language.map(|l| world.languages[l as usize]).unwrap_or_default());
         s.messages.forum.push(match m.forum {
             Some(f) => s.forum_ix[&f.0],
             None => NONE,

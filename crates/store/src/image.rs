@@ -473,8 +473,7 @@ fn read_section<'a>(buf: &'a [u8], pos: &mut usize, want_tag: u8) -> SnbResult<C
     if tag != want_tag {
         return Err(corrupt(format!("expected section {want_tag}, found {tag}")));
     }
-    let len =
-        u32::from_le_bytes(buf[*pos + 1..*pos + 5].try_into().expect("4 bytes")) as usize;
+    let len = u32::from_le_bytes(buf[*pos + 1..*pos + 5].try_into().expect("4 bytes")) as usize;
     let sum = u64::from_le_bytes(buf[*pos + 5..*pos + 13].try_into().expect("8 bytes"));
     let body_end = head_end.checked_add(len).filter(|&e| e <= buf.len());
     let body_end = body_end.ok_or_else(|| corrupt(format!("section {tag} body truncated")))?;

@@ -26,8 +26,8 @@ pub mod adj;
 pub mod build;
 pub mod columns;
 pub mod cow;
-pub mod image;
 pub mod delete;
+pub mod image;
 pub mod insert;
 pub mod intern;
 pub mod load;
@@ -40,10 +40,10 @@ pub use adj::Adj;
 pub use build::{build_store, bulk_store_and_stream, store_for_config, StoreStats};
 pub use columns::{Ix, NONE};
 pub use cow::CowBox;
-pub use image::{decode_store, encode_store, fnv64 as image_fnv64};
-pub use intern::{interner, PackCol, PackListCol, StrInterner, Sym, SymCol, SymListCol};
 pub use delete::{DeleteOp, DeleteStats};
+pub use image::{decode_store, encode_store, fnv64 as image_fnv64};
 pub use insert::{CommentInsert, ForumInsert, PersonInsert, PostInsert};
+pub use intern::{interner, PackCol, PackListCol, StrInterner, Sym, SymCol, SymListCol};
 pub use partition::{partition_of, partition_of_raw, PartitionLayout, PartitionedStore};
 pub use snapshot::{SnapshotCell, SnapshotStats, StoreHandle, StoreSnapshot, StoreVersion};
 pub use store::Store;
